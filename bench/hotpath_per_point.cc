@@ -1,5 +1,5 @@
 // Before/after evidence for the zero-allocation recognition kernel and its
-// SIMD/batched evaluator: replays the same GDP stroke pool through
+// SIMD fire check: replays the same GDP stroke pool through
 //   legacy       — the pre-refactor per-point protocol, reconstructed
 //                  faithfully from the allocating APIs it used:
 //                  copy-returning Features(), FeatureMask::Project into a
@@ -13,7 +13,7 @@
 // of coasting post-fire):
 //   scalar_view  — per-point AddPoint, scalar tier: the pre-SoA view path;
 //   batched_simd — EagerStream::AddSpan, best runtime dispatch tier: the
-//                  SoA EvaluateBatchInto path this PR adds.
+//                  chunked ingest path over the fused SoA fire check.
 // Reports per-point latency (p50/p95 over per-stroke samples) and heap
 // allocations per point for each, into BENCH_hotpath.json (including the
 // dispatch tier that was active, see docs/PERFORMANCE.md).
@@ -118,8 +118,8 @@ classify::Classification ReplayKernel(eager::EagerStream& stream, const geom::Ge
   return c;
 }
 
-// One batched stroke replay: the whole stroke in a single AddSpan call — the
-// SoA EvaluateBatchInto path, 16-point batches internally.
+// One batched stroke replay: the whole stroke in a single AddSpan call —
+// 16-point chunks internally, each row through the fused SoA fire check.
 classify::Classification ReplayBatched(eager::EagerStream& stream, const geom::Gesture& g) {
   eager::FireEvent fire;
   stream.AddSpan(std::span<const geom::TimedPoint>(g.points()), &fire);

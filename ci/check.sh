@@ -30,7 +30,8 @@
 #   6. nosimd: GRANDMA_SIMD=OFF build — the scalar-only fallback must pass
 #      the FULL tier-1 suite, and the hotpath bench gates run on both the
 #      SIMD and scalar-only builds (the scalar build records
-#      "speedup_gate": "skipped_no_simd")
+#      "speedup_gate": "skipped_no_simd"); the tracing overhead gate runs
+#      at full reps and its documented 10% p50 bound
 #   7. artifacts: every BENCH_*.json the gauntlet produced is copied to the
 #      repo root so the perf trajectory is trackable across PRs (the nosimd
 #      hotpath result lands as BENCH_hotpath_nosimd.json)
@@ -127,9 +128,12 @@ run ctest --preset nosimd
 #     hardware); the nosimd build records "skipped_no_simd" and still
 #     enforces the allocation and legacy-speedup gates. Each writes
 #     BENCH_hotpath.json into its own bench dir; the tier is recorded in
-#     the JSON ("simd_tier") so regressions are attributable.
+#     the JSON ("simd_tier") so regressions are attributable. trace_profile
+#     runs at its defaults (400 reps, --max-overhead-pct=10): the ctest `obs`
+#     smoke only runs a relaxed short variant.
 run env -C build/bench ./hotpath_per_point
 run env -C build-nosimd/bench ./hotpath_per_point
+run env -C build/bench ./trace_profile
 
 # 7. Artifact collection: surface every benchmark JSON the gauntlet wrote at
 #    the repo root so the numbers ride along with the PR. The nosimd hotpath

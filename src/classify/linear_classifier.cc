@@ -166,42 +166,20 @@ void LinearClassifier::EvaluateAllInto(linalg::VecView f, linalg::MutVecView sco
     throw std::invalid_argument("LinearClassifier::Evaluate: dimension mismatch");
   }
   if (scores.size() != num_classes()) {
-    throw std::invalid_argument("LinearClassifier::EvaluateInto: bad scores size");
+    throw std::invalid_argument("LinearClassifier::EvaluateAllInto: bad scores size");
   }
   linalg::simd::EvaluateAll(soa_weights_.data(), class_stride_, biases_.data(), f.data(),
                             dim, scores.data(), num_classes());
 }
 
-void LinearClassifier::EvaluateBatchInto(const double* features, std::size_t batch,
-                                         std::size_t feature_stride, double* scores,
-                                         std::size_t scores_stride) const {
-  if (!trained()) {
-    throw std::logic_error("LinearClassifier::Evaluate before Train");
-  }
-  const std::size_t dim = dimension();
-  if (feature_stride < dim || scores_stride < num_classes()) {
-    throw std::invalid_argument("LinearClassifier::EvaluateBatchInto: bad strides");
-  }
-  // One dispatched call for the whole batch: the kernel tiles classes so a
-  // weight-block sweep serves every row (not one row each), and pairs rows
-  // inside a tile. Results are bit-identical to row-at-a-time evaluation,
-  // so batched results are still the per-row results, by construction.
-  linalg::simd::EvaluateBatch(soa_weights_.data(), class_stride_, biases_.data(), features,
-                              batch, feature_stride, scores, scores_stride, dim, num_classes());
-}
-
-void LinearClassifier::EvaluateInto(linalg::VecView f, linalg::MutVecView scores) const {
-  EvaluateAllInto(f, scores);
-}
-
 std::vector<double> LinearClassifier::Evaluate(const linalg::Vector& f) const {
   std::vector<double> scores(num_classes());
-  EvaluateInto(f.view(), linalg::MutVecView(scores.data(), scores.size()));
+  EvaluateAllInto(f.view(), linalg::MutVecView(scores.data(), scores.size()));
   return scores;
 }
 
 ClassId LinearClassifier::BestClassView(linalg::VecView f, linalg::MutVecView scores) const {
-  EvaluateInto(f, scores);
+  EvaluateAllInto(f, scores);
   // Dispatched first-max scan: first index wins ties on every tier.
   return static_cast<ClassId>(linalg::simd::ArgMax(scores.data(), scores.size()));
 }

@@ -83,7 +83,7 @@ class LinearClassifier {
   std::size_t dimension() const { return trained() ? weights_.front().size() : 0; }
 
   // Per-class evaluations v_c(f). Requires trained(). Allocates the result;
-  // the hot path uses EvaluateInto.
+  // the hot path uses EvaluateAllInto.
   std::vector<double> Evaluate(const linalg::Vector& f) const;
 
   // argmax over Evaluate(f), with probability and Mahalanobis diagnostics.
@@ -96,30 +96,14 @@ class LinearClassifier {
   // are bit-identical to the allocating flavors above, which are implemented
   // on top of them.
 
-  // The batched evaluator: scores ALL classes in one pass over the
-  // feature-major SoA weight block via the dispatched simd::EvaluateAll
-  // kernel. Bit-identical across dispatch tiers and to the classic
-  // "bias + Dot(weights_row, f)" per-class loop (see simd.h for why).
-  // `scores` must be sized num_classes().
+  // Scores ALL classes in one pass over the feature-major SoA weight block
+  // via the dispatched simd::EvaluateAll kernel. Bit-identical across
+  // dispatch tiers and to the classic "bias + Dot(weights_row, f)" per-class
+  // loop (see simd.h for why). `scores` must be sized num_classes().
   void EvaluateAllInto(linalg::VecView f, linalg::MutVecView scores) const;
 
-  // Multi-feature-vector variant: scores `batch` feature vectors (rows of
-  // `features`, `feature_stride` doubles apart, each dimension() wide) into
-  // rows of `scores` (`scores_stride` doubles apart, each num_classes()
-  // wide). Row r's scores are bit-identical to EvaluateAllInto on row r —
-  // the batch loops the same per-row kernel, so batched and per-point
-  // callers can never disagree.
-  void EvaluateBatchInto(const double* features, std::size_t batch,
-                         std::size_t feature_stride, double* scores,
-                         std::size_t scores_stride) const;
-
-  // Writes v_c(f) for every class into `scores` (size num_classes()).
-  // Thin wrapper over EvaluateAllInto, kept for the scalar-view API surface.
-  void EvaluateInto(linalg::VecView f, linalg::MutVecView scores) const;
-
-  // argmax over EvaluateInto only — no probability, no Mahalanobis. This is
-  // what a per-point doneness test actually needs; `scores` is scratch of
-  // size num_classes().
+  // argmax over EvaluateAllInto only — no probability, no Mahalanobis;
+  // `scores` is scratch of size num_classes().
   ClassId BestClassView(linalg::VecView f, linalg::MutVecView scores) const;
 
   // True when BestClassView's winner would land in [0, split) — WITHOUT
@@ -136,7 +120,7 @@ class LinearClassifier {
   Classification ClassifyView(linalg::VecView f, linalg::MutVecView scores,
                               linalg::MutVecView diff) const;
 
-  // Top-n classes by evaluation score over one batched EvaluateAllInto pass.
+  // Top-n classes by evaluation score over one EvaluateAllInto pass.
   // Writes min(out.size(), num_classes()) entries into `out`, sorted by
   // descending score with ties broken toward the lower class id — the same
   // strict-> first-max rule as BestClassView, so out[0].class_id and
@@ -195,7 +179,7 @@ class LinearClassifier {
   // (structure-of-arrays): soa_weights_[i * class_stride_ + c] is w_c[i],
   // rows padded with zeros to class_stride_ (a multiple of 8 doubles, so
   // every feature row is 64-byte aligned inside the aligned block) — the
-  // batched evaluator reads class-contiguous lanes per feature. Means stay
+  // evaluator reads class-contiguous lanes per feature. Means stay
   // class-major (dimension()-wide rows) for the Mahalanobis diff. Both
   // always mirror weights_/means_.
   linalg::simd::AlignedBuffer soa_weights_;

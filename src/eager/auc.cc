@@ -1,46 +1,28 @@
 #include "eager/auc.h"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
-#include "linalg/simd.h"
-
 namespace grandma::eager {
-
-void Auc::IndexSets() {
-  num_complete_ = 0;
-  for (const SetInfo& s : sets_) {
-    if (s.complete) {
-      ++num_complete_;
-    }
-  }
-  complete_prefix_ = true;
-  for (std::size_t k = 0; k < sets_.size(); ++k) {
-    if (sets_[k].complete != (k < num_complete_)) {
-      complete_prefix_ = false;
-      break;
-    }
-  }
-}
 
 AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions& options) {
   AucTrainReport report;
   sets_.clear();
   num_complete_ = 0;
-  complete_prefix_ = false;
   linear_ = classify::LinearClassifier();
 
   // Gather the non-empty sets into a dense AUC class list; complete sets
   // first, then incomplete, each remembering its full-classifier class.
   classify::FeatureTrainingSet data;
   std::size_t next_id = 0;
-  bool any_complete = false;
   bool any_incomplete = false;
   for (classify::ClassId c = 0; c < partition.num_classes(); ++c) {
     if (partition.complete_sets[c].empty()) {
       continue;
     }
-    any_complete = true;
     sets_.push_back(SetInfo{/*complete=*/true, c});
+    ++num_complete_;
     for (const LabeledSubgesture& sub : partition.complete_sets[c]) {
       data.Add(next_id, sub.features);
     }
@@ -57,9 +39,7 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
     }
     ++next_id;
   }
-  IndexSets();  // Complete-first layout: complete_prefix_ comes out true.
-
-  if (!any_complete && !any_incomplete) {
+  if (num_complete_ == 0 && !any_incomplete) {
     throw std::invalid_argument("Auc::Train: empty partition");
   }
   if (!any_incomplete) {
@@ -67,7 +47,7 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
     report.degenerate = true;
     return report;
   }
-  if (!any_complete) {
+  if (num_complete_ == 0) {
     mode_ = Mode::kAlwaysAmbiguous;
     report.degenerate = true;
     return report;
@@ -130,12 +110,10 @@ AucTrainReport Auc::Train(const SubgesturePartition& partition, const AucOptions
 }
 
 bool Auc::Unambiguous(const linalg::Vector& masked_features) const {
-  std::vector<double> scores(linear_.num_classes());
-  return UnambiguousView(masked_features.view(),
-                         linalg::MutVecView(scores.data(), scores.size()));
+  return UnambiguousView(masked_features.view());
 }
 
-bool Auc::UnambiguousView(linalg::VecView masked_features, linalg::MutVecView scores) const {
+bool Auc::UnambiguousView(linalg::VecView masked_features) const {
   switch (mode_) {
     case Mode::kUntrained:
       throw std::logic_error("Auc::Unambiguous before Train");
@@ -146,22 +124,13 @@ bool Auc::UnambiguousView(linalg::VecView masked_features, linalg::MutVecView sc
     case Mode::kNormal:
       break;
   }
-  if (complete_prefix_) {
-    // D(s) needs only which SIDE of the complete/incomplete split the
-    // winning set is on, never its index — and Train lays complete sets out
-    // as the id prefix. The fused kernel answers that in one sweep of the
-    // weight block with no score stores and no argmax pass; `scores` stays
-    // untouched scratch. Same answer as the evaluate + argmax path on every
-    // tier (see simd::EvaluateArgMaxInPrefix).
-    return linear_.EvaluateWinnerInPrefix(masked_features, num_complete_);
-  }
-  const classify::ClassId winner = linear_.BestClassView(masked_features, scores);
-  return sets_[winner].complete;
+  // Same answer as evaluate + argmax + sets_[winner].complete on every tier
+  // (see simd::EvaluateArgMaxInPrefix).
+  return linear_.EvaluateWinnerInPrefix(masked_features, num_complete_);
 }
 
 std::size_t Auc::FirstUnambiguous(const double* masked_rows, std::size_t batch,
-                                  std::size_t stride,
-                                  linalg::MutVecView scores_block) const {
+                                  std::size_t stride) const {
   switch (mode_) {
     case Mode::kUntrained:
       throw std::logic_error("Auc::Unambiguous before Train");
@@ -172,30 +141,10 @@ std::size_t Auc::FirstUnambiguous(const double* masked_rows, std::size_t batch,
     case Mode::kNormal:
       break;
   }
-  const std::size_t sets = linear_.num_classes();
-  assert(scores_block.size() >= batch * sets);
-  if (complete_prefix_) {
-    // Per-row fused fire check (see UnambiguousView): early-out on the first
-    // complete winner without ever materializing a score block, so the batch
-    // costs one weight-block sweep per row and nothing else. scores_block
-    // stays untouched scratch.
-    const std::size_t dim = linear_.dimension();
-    for (std::size_t r = 0; r < batch; ++r) {
-      if (linear_.EvaluateWinnerInPrefix(linalg::VecView(masked_rows + r * stride, dim),
-                                         num_complete_)) {
-        return r;
-      }
-    }
-    return kNone;
-  }
-  linear_.EvaluateBatchInto(masked_rows, batch, stride, scores_block.data(), sets);
+  const std::size_t dim = linear_.dimension();
   for (std::size_t r = 0; r < batch; ++r) {
-    const double* scores = scores_block.data() + r * sets;
-    // Same argmax semantics as BestClassView: first index wins ties. The
-    // dispatched kernel keeps that contract across tiers, so which set wins
-    // (and therefore where the recognizer fires) is tier-independent.
-    const auto winner = static_cast<classify::ClassId>(linalg::simd::ArgMax(scores, sets));
-    if (sets_[winner].complete) {
+    if (linear_.EvaluateWinnerInPrefix(linalg::VecView(masked_rows + r * stride, dim),
+                                       num_complete_)) {
       return r;
     }
   }
@@ -204,11 +153,36 @@ std::size_t Auc::FirstUnambiguous(const double* masked_rows, std::size_t batch,
 
 Auc Auc::FromParameters(Mode mode, classify::LinearClassifier linear,
                         std::vector<SetInfo> sets) {
+  if (mode == Mode::kNormal && linear.num_classes() != sets.size()) {
+    throw std::invalid_argument("Auc::FromParameters: classifier/set count mismatch");
+  }
+  // order[k] is the persisted id of the set that lands at id k.
+  std::vector<std::size_t> order(sets.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_partition(order.begin(), order.end(),
+                        [&sets](std::size_t k) { return sets[k].complete; });
+
   Auc out;
   out.mode_ = mode;
+  for (std::size_t k : order) {
+    out.sets_.push_back(sets[k]);
+    if (sets[k].complete) {
+      ++out.num_complete_;
+    }
+  }
+  if (mode == Mode::kNormal) {
+    std::vector<linalg::Vector> weights;
+    std::vector<double> biases;
+    std::vector<linalg::Vector> means;
+    for (std::size_t k : order) {
+      weights.push_back(linear.weights(k));
+      biases.push_back(linear.bias(k));
+      means.push_back(linear.mean(k));
+    }
+    linear = classify::LinearClassifier::FromParameters(
+        std::move(weights), std::move(biases), std::move(means), linear.inverse_covariance());
+  }
   out.linear_ = std::move(linear);
-  out.sets_ = std::move(sets);
-  out.IndexSets();
   return out;
 }
 

@@ -71,26 +71,24 @@ class Auc {
   bool trained() const { return mode_ != Mode::kUntrained; }
 
   // D(s): true iff `masked_features` is judged an unambiguous prefix.
-  // Allocates internal scratch; the per-point hot path uses UnambiguousView.
   bool Unambiguous(const linalg::Vector& masked_features) const;
 
-  // Zero-allocation D(s): evaluates the per-set scores into caller scratch
-  // (`scores` sized num_sets()) and takes the argmax — no probability, no
-  // Mahalanobis, which a doneness test never needs. The winning set (and
-  // therefore the answer) is bit-identical to Unambiguous.
-  bool UnambiguousView(linalg::VecView masked_features, linalg::MutVecView scores) const;
+  // Zero-allocation D(s), the view flavor of Unambiguous. D(s) needs only
+  // which SIDE of the complete/incomplete split the winning set is on, and
+  // complete sets always occupy the id prefix (see FromParameters), so this
+  // is the fused winner-in-prefix check: one sweep of the weight block, no
+  // score buffer, no probability, no Mahalanobis.
+  bool UnambiguousView(linalg::VecView masked_features) const;
 
   // "No row fired" result for FirstUnambiguous.
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Batched D(s) over `batch` masked feature rows (`stride` doubles apart in
+  // D(s) over `batch` masked feature rows (`stride` doubles apart in
   // `masked_rows`, each linear().dimension() wide): returns the index of the
-  // FIRST row judged unambiguous, or kNone. Row decisions are bit-identical
-  // to UnambiguousView on that row — the batch evaluator loops the same
-  // per-row kernel. `scores_block` is caller scratch of at least
-  // batch * num_sets() doubles (rows of num_sets() scores each).
+  // FIRST row judged unambiguous, or kNone. Each row's decision is
+  // UnambiguousView on that row.
   std::size_t FirstUnambiguous(const double* masked_rows, std::size_t batch,
-                               std::size_t stride, linalg::MutVecView scores_block) const;
+                               std::size_t stride) const;
 
   // The winning AUC set for diagnostics; meaningful only in kNormal mode.
   classify::Classification Classify(const linalg::Vector& masked_features) const;
@@ -98,23 +96,22 @@ class Auc {
   std::size_t num_sets() const { return sets_.size(); }
   const classify::LinearClassifier& linear() const { return linear_; }
 
-  // Reassembles an AUC from persisted parameters (io::serialize).
+  // Reassembles an AUC from persisted parameters (io::serialize). The sets
+  // are stable-partitioned complete-first, and in kNormal mode the matching
+  // classifier rows (weights, biases, means) move with them, so every AUC
+  // keeps Train's layout: complete sets are the id prefix. Throws
+  // std::invalid_argument when a kNormal classifier's class count differs
+  // from sets.size().
   static Auc FromParameters(Mode mode, classify::LinearClassifier linear,
                             std::vector<SetInfo> sets);
 
  private:
-  // Recomputes num_complete_ / complete_prefix_ from sets_.
-  void IndexSets();
-
   Mode mode_ = Mode::kUntrained;
   classify::LinearClassifier linear_;
+  // Complete sets first, then incomplete: ids [0, num_complete_) are the
+  // complete sets.
   std::vector<SetInfo> sets_;
-  // Complete-set count, and whether all complete sets occupy the id prefix
-  // [0, num_complete_). Train always lays sets out that way; FromParameters
-  // accepts any order, so the fused winner-in-prefix fire check is gated on
-  // this flag (non-prefix layouts take the evaluate + argmax path).
   std::size_t num_complete_ = 0;
-  bool complete_prefix_ = false;
 };
 
 }  // namespace grandma::eager

@@ -83,31 +83,28 @@ bool EagerRecognizer::UnambiguousFeatures(const linalg::Vector& full_features) c
 
 bool EagerRecognizer::Unambiguous(linalg::VecView full_features, Workspace& ws) const {
   TRACE_SPAN_FINE("eager.unambiguous");
-  ws.Prepare(num_classes(), auc_.num_sets());
   const features::FeatureMask& mask = full_.mask();
   const linalg::MutVecView masked = ws.MaskedView(mask.count());
   mask.ProjectInto(full_features, masked);
-  return auc_.UnambiguousView(masked, ws.AucScoresView());
+  return auc_.UnambiguousView(masked);
 }
 
 std::size_t EagerRecognizer::FirstUnambiguous(const double* feature_rows, std::size_t batch,
                                               std::size_t row_stride, Workspace& ws) const {
   assert(batch <= Workspace::kBatchPoints);
-  ws.Prepare(num_classes(), auc_.num_sets());
   const features::FeatureMask& mask = full_.mask();
   const std::size_t masked_dim = mask.count();
   for (std::size_t r = 0; r < batch; ++r) {
     mask.ProjectInto(linalg::VecView(feature_rows + r * row_stride, features::kNumFeatures),
                      ws.MaskedRowView(r, masked_dim));
   }
-  return auc_.FirstUnambiguous(ws.masked_block.data(), batch, features::kNumFeatures,
-                               ws.BatchAucScoresView());
+  return auc_.FirstUnambiguous(ws.masked_block.data(), batch, features::kNumFeatures);
 }
 
 classify::Classification EagerRecognizer::Classify(linalg::VecView full_features,
                                                    Workspace& ws) const {
   TRACE_SPAN("eager.classify");
-  ws.Prepare(num_classes(), auc_.num_sets());
+  ws.Prepare(num_classes());
   const std::size_t masked_dim = full_.mask().count();
   return full_.ClassifyFeaturesView(full_features, ws.MaskedView(masked_dim),
                                     ws.FullScoresView(), ws.DiffView(masked_dim));
@@ -117,7 +114,7 @@ std::size_t EagerRecognizer::ClassifyNBest(linalg::VecView full_features, Worksp
                                            std::span<classify::NBestEntry> out,
                                            classify::Classification* top) const {
   TRACE_SPAN("eager.classify_nbest");
-  ws.Prepare(num_classes(), auc_.num_sets());
+  ws.Prepare(num_classes());
   const std::size_t masked_dim = full_.mask().count();
   return full_.EvaluateNBestView(full_features, ws.MaskedView(masked_dim), ws.FullScoresView(),
                                  ws.DiffView(masked_dim), out, top);

@@ -78,17 +78,17 @@ class EagerRecognizer {
   }
 
   // --- Zero-allocation kernel surface -------------------------------------
-  // Both take the caller's per-stream Workspace; they size its score buffers
-  // on first use and reuse them afterwards. Answers are bit-identical to the
-  // allocating flavors above.
+  // These take the caller's per-stream Workspace; the classify flavors size
+  // its score buffer on first use and reuse it afterwards. Answers are
+  // bit-identical to the allocating flavors above.
 
   // D over a full 13-entry feature view.
   bool Unambiguous(linalg::VecView full_features, Workspace& ws) const;
 
-  // Batched D over `batch` full-feature rows (`row_stride` doubles apart in
+  // D over `batch` full-feature rows (`row_stride` doubles apart in
   // `feature_rows`, each kNumFeatures wide; batch <= Workspace::kBatchPoints):
-  // mask-projects every row, then runs the AUC's batched evaluator. Returns
-  // the index of the FIRST unambiguous row, or Auc::kNone. Row answers are
+  // mask-projects every row, then runs Auc::FirstUnambiguous. Returns the
+  // index of the FIRST unambiguous row, or Auc::kNone. Row answers are
   // bit-identical to Unambiguous on that row.
   std::size_t FirstUnambiguous(const double* feature_rows, std::size_t batch,
                                std::size_t row_stride, Workspace& ws) const;
@@ -156,12 +156,12 @@ class EagerStream {
   // gesture first becomes unambiguous.
   bool AddPoint(const geom::TimedPoint& p);
 
-  // Appends a span of points, evaluating them in chunks of
-  // Workspace::kBatchPoints through the batched SoA evaluator. Produces the
-  // exact same fired()/fired_at() state (and, via `fire`, the exact same
-  // fire-point classification) as calling AddPoint per point — the batch
-  // kernel is per-row bit-identical — while amortizing dispatch and walking
-  // the weight block once per chunk. Allocation-free in steady state.
+  // Appends a span of points, ingesting them in chunks of
+  // Workspace::kBatchPoints and running the fire check row by row over each
+  // chunk. Produces the exact same fired()/fired_at() state (and, via
+  // `fire`, the exact same fire-point classification) as calling AddPoint
+  // per point — each row runs the same fused kernel. Allocation-free in
+  // steady state.
   void AddSpan(std::span<const geom::TimedPoint> points, FireEvent* fire = nullptr);
 
   std::size_t points_seen() const { return extractor_.point_count(); }
@@ -189,10 +189,6 @@ class EagerStream {
   // is valid until the next AddPoint/ClassifyNow/FeaturesView/Reset call.
   // Allocation-free.
   linalg::VecView FeaturesView() const;
-
-  // Compatibility shim: copy-returning snapshot (allocates). Prefer
-  // FeaturesView on any per-point path.
-  linalg::Vector Features() const { return extractor_.Features(); }
 
   void Reset();
 

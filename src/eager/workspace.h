@@ -3,15 +3,15 @@
 // caller) and is threaded by reference through EagerRecognizer ->
 // GestureClassifier/Auc -> LinearClassifier, so the steady-state per-point
 // loop performs no heap allocations: the feature snapshot, the masked
-// projection, the Mahalanobis difference, and both score buffers all live
+// projection, the Mahalanobis difference, and the score buffer all live
 // here.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //   - the stream that owns the Workspace is the only writer; recognizers
 //     never retain a pointer to it beyond a call;
-//   - the fixed arrays never allocate; the two score buffers are sized by
-//     Prepare() on first use (warm-up) and only ever re-allocate if the
-//     recognizer they serve changes shape — steady state is allocation-free;
+//   - the fixed arrays never allocate; the score buffer is sized by
+//     Prepare() on first use (warm-up) and only ever re-allocates if the
+//     recognizer it serves changes shape — steady state is allocation-free;
 //   - contents are scratch: every kernel call overwrites them, so nothing
 //     here carries state between points.
 //
@@ -30,9 +30,8 @@
 namespace grandma::eager {
 
 struct Workspace {
-  // Points per batched-evaluation chunk (EagerStream::AddSpan): enough rows
-  // for the SIMD evaluator to amortize dispatch and stay in L1, fixed so the
-  // blocks below never allocate.
+  // Points per ingest chunk (EagerStream::AddSpan), fixed so the blocks
+  // below never allocate.
   static constexpr std::size_t kBatchPoints = 16;
 
   // Raw 13-entry feature snapshot (FeatureExtractor::FeaturesInto target).
@@ -45,25 +44,17 @@ struct Workspace {
   // feature snapshot / mask projection within the current chunk.
   alignas(64) std::array<double, kBatchPoints * features::kNumFeatures> feature_block{};
   alignas(64) std::array<double, kBatchPoints * features::kNumFeatures> masked_block{};
-  // Per-class score buffers: full classifier (C classes) and AUC (up to 2C
-  // sets), plus the batched AUC block (kBatchPoints rows of num_auc_sets).
-  // Sized by Prepare(); steady state never reallocates.
+  // Full-classifier score buffer (C classes). The AUC's fire check stores
+  // no scores (see Auc::UnambiguousView). Sized by Prepare(); steady state
+  // never reallocates.
   std::vector<double> full_scores;
-  std::vector<double> auc_scores;
-  std::vector<double> batch_auc_scores;
 
-  // Ensures the score buffers match the recognizer shape. Cheap when already
-  // sized (three integer compares); allocates only on first use or when the
+  // Ensures the score buffer matches the recognizer shape. Cheap when already
+  // sized (one integer compare); allocates only on first use or when the
   // shape changed.
-  void Prepare(std::size_t num_full_classes, std::size_t num_auc_sets) {
+  void Prepare(std::size_t num_full_classes) {
     if (full_scores.size() != num_full_classes) {
       full_scores.resize(num_full_classes);
-    }
-    if (auc_scores.size() != num_auc_sets) {
-      auc_scores.resize(num_auc_sets);
-    }
-    if (batch_auc_scores.size() != kBatchPoints * num_auc_sets) {
-      batch_auc_scores.resize(kBatchPoints * num_auc_sets);
     }
   }
 
@@ -72,9 +63,6 @@ struct Workspace {
   linalg::MutVecView DiffView(std::size_t n) { return linalg::ViewOf(diff, n); }
   linalg::MutVecView FullScoresView() {
     return linalg::MutVecView(full_scores.data(), full_scores.size());
-  }
-  linalg::MutVecView AucScoresView() {
-    return linalg::MutVecView(auc_scores.data(), auc_scores.size());
   }
   // Feature-snapshot row r of the batched chunk (full kNumFeatures width).
   linalg::MutVecView FeatureRowView(std::size_t r) {
@@ -86,9 +74,6 @@ struct Workspace {
   linalg::MutVecView MaskedRowView(std::size_t r, std::size_t n) {
     assert(r < kBatchPoints && n <= features::kNumFeatures);
     return linalg::MutVecView(masked_block.data() + r * features::kNumFeatures, n);
-  }
-  linalg::MutVecView BatchAucScoresView() {
-    return linalg::MutVecView(batch_auc_scores.data(), batch_auc_scores.size());
   }
 };
 

@@ -153,11 +153,12 @@ robust::StatusOr<T> LoadSnapshot(const char* kind, Loader loader, std::istream& 
   }
   std::istringstream body(*payload);
   auto value = loader(body);
-  if (!value.has_value()) {
+  if (!value.ok()) {
     // The CRC matched, so the payload is what the writer produced — a parse
     // failure here means the writer itself emitted something unreadable.
     return robust::Status::CorruptSnapshot(std::string("snapshot: CRC-valid ") + kind +
-                                           " payload failed to parse");
+                                           " payload failed to parse: " +
+                                           value.status().message());
   }
   return std::move(*value);
 }
@@ -220,7 +221,7 @@ bool SaveClassifierSnapshot(const classify::GestureClassifier& classifier, std::
 
 robust::StatusOr<classify::GestureClassifier> LoadClassifierSnapshot(std::istream& in) {
   return LoadSnapshot<classify::GestureClassifier>(
-      KindName('c'), [](std::istream& body) { return LoadClassifier(body); }, in);
+      KindName('c'), [](std::istream& body) { return LoadClassifierOr(body); }, in);
 }
 
 robust::Status SaveClassifierSnapshotFile(const classify::GestureClassifier& classifier,
@@ -243,7 +244,7 @@ bool SaveEagerSnapshot(const eager::EagerRecognizer& recognizer, std::ostream& o
 
 robust::StatusOr<eager::EagerRecognizer> LoadEagerSnapshot(std::istream& in) {
   return LoadSnapshot<eager::EagerRecognizer>(
-      KindName('e'), [](std::istream& body) { return LoadEagerRecognizer(body); }, in);
+      KindName('e'), [](std::istream& body) { return LoadEagerRecognizerOr(body); }, in);
 }
 
 robust::Status SaveEagerSnapshotFile(const eager::EagerRecognizer& recognizer,
@@ -269,15 +270,17 @@ robust::StatusOr<BundleSnapshot> LoadBundleSnapshot(std::istream& in) {
     return payload.status();
   }
   std::istringstream body(*payload);
-  auto classifier = LoadClassifier(body);
-  if (!classifier.has_value()) {
+  auto classifier = LoadClassifierOr(body);
+  if (!classifier.ok()) {
     return robust::Status::CorruptSnapshot(
-        "snapshot: CRC-valid bundle classifier section failed to parse");
+        "snapshot: CRC-valid bundle classifier section failed to parse: " +
+        classifier.status().message());
   }
-  auto recognizer = LoadEagerRecognizer(body);
-  if (!recognizer.has_value()) {
+  auto recognizer = LoadEagerRecognizerOr(body);
+  if (!recognizer.ok()) {
     return robust::Status::CorruptSnapshot(
-        "snapshot: CRC-valid bundle eager section failed to parse");
+        "snapshot: CRC-valid bundle eager section failed to parse: " +
+        recognizer.status().message());
   }
   if (classifier->num_classes() != recognizer->num_classes()) {
     return robust::Status::CorruptSnapshot(

@@ -31,13 +31,8 @@ namespace {
 struct KernelTable {
   Tier tier;
   double (*dot)(const double* a, const double* b, std::size_t n);
-  void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
-  double (*squared_norm)(const double* v, std::size_t n);
   void (*evaluate_all)(const double* soa, std::size_t stride, const double* biases,
                        const double* f, std::size_t dim, double* scores, std::size_t classes);
-  void (*evaluate_all2)(const double* soa, std::size_t stride, const double* biases,
-                        const double* f0, const double* f1, std::size_t dim, double* s0,
-                        double* s1, std::size_t classes);
   std::size_t (*argmax)(const double* v, std::size_t n);
   bool (*argmax_in_prefix)(const double* soa, std::size_t stride, const double* biases,
                            const double* f, std::size_t dim, std::size_t split,
@@ -50,20 +45,6 @@ double DotScalar(const double* a, const double* b, std::size_t n) {
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     sum += a[i] * b[i];
-  }
-  return sum;
-}
-
-void AxpyScalar(double alpha, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double SquaredNormScalar(const double* v, std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += v[i] * v[i];
   }
   return sum;
 }
@@ -83,33 +64,6 @@ void EvaluateAllScalar(const double* soa, std::size_t stride, const double* bias
   }
   for (std::size_t c = 0; c < classes; ++c) {
     scores[c] += biases[c];
-  }
-}
-
-// Two points through one weight-block sweep. Each point's per-class chain
-// is the exact operation sequence of EvaluateAllScalar (zero, += in feature
-// order, bias last), so the results are bit-identical to two single-point
-// calls — the pairing only changes which chain a weight row feeds next,
-// never the order within a chain.
-void EvaluateAll2Scalar(const double* soa, std::size_t stride, const double* biases,
-                        const double* f0, const double* f1, std::size_t dim, double* s0,
-                        double* s1, std::size_t classes) {
-  for (std::size_t c = 0; c < classes; ++c) {
-    s0[c] = 0.0;
-    s1[c] = 0.0;
-  }
-  for (std::size_t i = 0; i < dim; ++i) {
-    const double a0 = f0[i];
-    const double a1 = f1[i];
-    const double* row = soa + i * stride;
-    for (std::size_t c = 0; c < classes; ++c) {
-      s0[c] += a0 * row[c];
-      s1[c] += a1 * row[c];
-    }
-  }
-  for (std::size_t c = 0; c < classes; ++c) {
-    s0[c] += biases[c];
-    s1[c] += biases[c];
   }
 }
 
@@ -160,9 +114,8 @@ bool EvaluateArgMaxInPrefixScalar(const double* soa, std::size_t stride, const d
   return winner < split;
 }
 
-constexpr KernelTable kScalarTable{
-    Tier::kScalar,     DotScalar,          AxpyScalar,  SquaredNormScalar,
-    EvaluateAllScalar, EvaluateAll2Scalar, ArgMaxScalar, EvaluateArgMaxInPrefixScalar};
+constexpr KernelTable kScalarTable{Tier::kScalar, DotScalar, EvaluateAllScalar, ArgMaxScalar,
+                                 EvaluateArgMaxInPrefixScalar};
 
 #if defined(GRANDMA_SIMD_X86)
 
@@ -183,20 +136,6 @@ double DotSse2(const double* a, const double* b, std::size_t n) {
   }
   return sum;
 }
-
-void AxpySse2(double alpha, const double* x, double* y, std::size_t n) {
-  const __m128d va = _mm_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d prod = _mm_mul_pd(va, _mm_loadu_pd(x + i));
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double SquaredNormSse2(const double* v, std::size_t n) { return DotSse2(v, v, n); }
 
 void EvaluateAllSse2(const double* soa, std::size_t stride, const double* biases,
                      const double* f, std::size_t dim, double* scores, std::size_t classes) {
@@ -235,77 +174,6 @@ void EvaluateAllSse2(const double* soa, std::size_t stride, const double* biases
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-void EvaluateAll2Sse2(const double* soa, std::size_t stride, const double* biases,
-                      const double* f0, const double* f1, std::size_t dim, double* s0,
-                      double* s1, std::size_t classes) {
-  std::size_t c = 0;
-  // 8-class blocks, both points at once: each weight load feeds two chains.
-  for (; c + 8 <= classes; c += 8) {
-    __m128d p0a0 = _mm_setzero_pd();
-    __m128d p0a1 = _mm_setzero_pd();
-    __m128d p0a2 = _mm_setzero_pd();
-    __m128d p0a3 = _mm_setzero_pd();
-    __m128d p1a0 = _mm_setzero_pd();
-    __m128d p1a1 = _mm_setzero_pd();
-    __m128d p1a2 = _mm_setzero_pd();
-    __m128d p1a3 = _mm_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m128d ff0 = _mm_set1_pd(f0[i]);
-      const __m128d ff1 = _mm_set1_pd(f1[i]);
-      const double* row = col + i * stride;
-      const __m128d w0 = _mm_loadu_pd(row);
-      const __m128d w1 = _mm_loadu_pd(row + 2);
-      const __m128d w2 = _mm_loadu_pd(row + 4);
-      const __m128d w3 = _mm_loadu_pd(row + 6);
-      p0a0 = _mm_add_pd(p0a0, _mm_mul_pd(ff0, w0));
-      p0a1 = _mm_add_pd(p0a1, _mm_mul_pd(ff0, w1));
-      p0a2 = _mm_add_pd(p0a2, _mm_mul_pd(ff0, w2));
-      p0a3 = _mm_add_pd(p0a3, _mm_mul_pd(ff0, w3));
-      p1a0 = _mm_add_pd(p1a0, _mm_mul_pd(ff1, w0));
-      p1a1 = _mm_add_pd(p1a1, _mm_mul_pd(ff1, w1));
-      p1a2 = _mm_add_pd(p1a2, _mm_mul_pd(ff1, w2));
-      p1a3 = _mm_add_pd(p1a3, _mm_mul_pd(ff1, w3));
-    }
-    const __m128d b0 = _mm_loadu_pd(biases + c);
-    const __m128d b1 = _mm_loadu_pd(biases + c + 2);
-    const __m128d b2 = _mm_loadu_pd(biases + c + 4);
-    const __m128d b3 = _mm_loadu_pd(biases + c + 6);
-    _mm_storeu_pd(s0 + c, _mm_add_pd(p0a0, b0));
-    _mm_storeu_pd(s0 + c + 2, _mm_add_pd(p0a1, b1));
-    _mm_storeu_pd(s0 + c + 4, _mm_add_pd(p0a2, b2));
-    _mm_storeu_pd(s0 + c + 6, _mm_add_pd(p0a3, b3));
-    _mm_storeu_pd(s1 + c, _mm_add_pd(p1a0, b0));
-    _mm_storeu_pd(s1 + c + 2, _mm_add_pd(p1a1, b1));
-    _mm_storeu_pd(s1 + c + 4, _mm_add_pd(p1a2, b2));
-    _mm_storeu_pd(s1 + c + 6, _mm_add_pd(p1a3, b3));
-  }
-  for (; c + 2 <= classes; c += 2) {
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m128d w = _mm_loadu_pd(col + i * stride);
-      acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_set1_pd(f0[i]), w));
-      acc1 = _mm_add_pd(acc1, _mm_mul_pd(_mm_set1_pd(f1[i]), w));
-    }
-    const __m128d b = _mm_loadu_pd(biases + c);
-    _mm_storeu_pd(s0 + c, _mm_add_pd(acc0, b));
-    _mm_storeu_pd(s1 + c, _mm_add_pd(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -479,9 +347,8 @@ bool EvaluateArgMaxInPrefixSse2(const double* soa, std::size_t stride, const dou
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kSse2Table{
-    Tier::kSse2,     DotSse2,          AxpySse2,   SquaredNormSse2,
-    EvaluateAllSse2, EvaluateAll2Sse2, ArgMaxSse2, EvaluateArgMaxInPrefixSse2};
+constexpr KernelTable kSse2Table{Tier::kSse2, DotSse2, EvaluateAllSse2, ArgMaxSse2,
+                                 EvaluateArgMaxInPrefixSse2};
 
 // --- AVX2 tier (runtime-detected) --------------------------------------
 
@@ -499,23 +366,6 @@ __attribute__((target("avx2"))) double DotAvx2(const double* a, const double* b,
     sum += a[i] * b[i];
   }
   return sum;
-}
-
-__attribute__((target("avx2"))) void AxpyAvx2(double alpha, const double* x, double* y,
-                                              std::size_t n) {
-  const __m256d va = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), prod));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-__attribute__((target("avx2"))) double SquaredNormAvx2(const double* v, std::size_t n) {
-  return DotAvx2(v, v, n);
 }
 
 __attribute__((target("avx2"))) void EvaluateAllAvx2(const double* soa, std::size_t stride,
@@ -558,80 +408,6 @@ __attribute__((target("avx2"))) void EvaluateAllAvx2(const double* soa, std::siz
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-__attribute__((target("avx2"))) void EvaluateAll2Avx2(const double* soa, std::size_t stride,
-                                                      const double* biases, const double* f0,
-                                                      const double* f1, std::size_t dim,
-                                                      double* s0, double* s1,
-                                                      std::size_t classes) {
-  std::size_t c = 0;
-  // 16-class blocks, both points at once: 4 weight loads + 2 broadcasts feed
-  // 8 accumulators (14 live ymm registers).
-  for (; c + 16 <= classes; c += 16) {
-    __m256d p0a0 = _mm256_setzero_pd();
-    __m256d p0a1 = _mm256_setzero_pd();
-    __m256d p0a2 = _mm256_setzero_pd();
-    __m256d p0a3 = _mm256_setzero_pd();
-    __m256d p1a0 = _mm256_setzero_pd();
-    __m256d p1a1 = _mm256_setzero_pd();
-    __m256d p1a2 = _mm256_setzero_pd();
-    __m256d p1a3 = _mm256_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m256d ff0 = _mm256_set1_pd(f0[i]);
-      const __m256d ff1 = _mm256_set1_pd(f1[i]);
-      const double* row = col + i * stride;
-      const __m256d w0 = _mm256_loadu_pd(row);
-      const __m256d w1 = _mm256_loadu_pd(row + 4);
-      const __m256d w2 = _mm256_loadu_pd(row + 8);
-      const __m256d w3 = _mm256_loadu_pd(row + 12);
-      p0a0 = _mm256_add_pd(p0a0, _mm256_mul_pd(ff0, w0));
-      p0a1 = _mm256_add_pd(p0a1, _mm256_mul_pd(ff0, w1));
-      p0a2 = _mm256_add_pd(p0a2, _mm256_mul_pd(ff0, w2));
-      p0a3 = _mm256_add_pd(p0a3, _mm256_mul_pd(ff0, w3));
-      p1a0 = _mm256_add_pd(p1a0, _mm256_mul_pd(ff1, w0));
-      p1a1 = _mm256_add_pd(p1a1, _mm256_mul_pd(ff1, w1));
-      p1a2 = _mm256_add_pd(p1a2, _mm256_mul_pd(ff1, w2));
-      p1a3 = _mm256_add_pd(p1a3, _mm256_mul_pd(ff1, w3));
-    }
-    const __m256d b0 = _mm256_loadu_pd(biases + c);
-    const __m256d b1 = _mm256_loadu_pd(biases + c + 4);
-    const __m256d b2 = _mm256_loadu_pd(biases + c + 8);
-    const __m256d b3 = _mm256_loadu_pd(biases + c + 12);
-    _mm256_storeu_pd(s0 + c, _mm256_add_pd(p0a0, b0));
-    _mm256_storeu_pd(s0 + c + 4, _mm256_add_pd(p0a1, b1));
-    _mm256_storeu_pd(s0 + c + 8, _mm256_add_pd(p0a2, b2));
-    _mm256_storeu_pd(s0 + c + 12, _mm256_add_pd(p0a3, b3));
-    _mm256_storeu_pd(s1 + c, _mm256_add_pd(p1a0, b0));
-    _mm256_storeu_pd(s1 + c + 4, _mm256_add_pd(p1a1, b1));
-    _mm256_storeu_pd(s1 + c + 8, _mm256_add_pd(p1a2, b2));
-    _mm256_storeu_pd(s1 + c + 12, _mm256_add_pd(p1a3, b3));
-  }
-  for (; c + 4 <= classes; c += 4) {
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const __m256d w = _mm256_loadu_pd(col + i * stride);
-      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_set1_pd(f0[i]), w));
-      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_set1_pd(f1[i]), w));
-    }
-    const __m256d b = _mm256_loadu_pd(biases + c);
-    _mm256_storeu_pd(s0 + c, _mm256_add_pd(acc0, b));
-    _mm256_storeu_pd(s1 + c, _mm256_add_pd(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -805,9 +581,8 @@ __attribute__((target("avx2"))) bool EvaluateArgMaxInPrefixAvx2(const double* so
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kAvx2Table{
-    Tier::kAvx2,     DotAvx2,          AxpyAvx2,   SquaredNormAvx2,
-    EvaluateAllAvx2, EvaluateAll2Avx2, ArgMaxAvx2, EvaluateArgMaxInPrefixAvx2};
+constexpr KernelTable kAvx2Table{Tier::kAvx2, DotAvx2, EvaluateAllAvx2, ArgMaxAvx2,
+                                 EvaluateArgMaxInPrefixAvx2};
 
 #elif defined(GRANDMA_SIMD_NEON)
 
@@ -825,19 +600,6 @@ double DotNeon(const double* a, const double* b, std::size_t n) {
   }
   return sum;
 }
-
-void AxpyNeon(double alpha, const double* x, double* y, std::size_t n) {
-  const float64x2_t va = vdupq_n_f64(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), vmulq_f64(va, vld1q_f64(x + i))));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double SquaredNormNeon(const double* v, std::size_t n) { return DotNeon(v, v, n); }
 
 void EvaluateAllNeon(const double* soa, std::size_t stride, const double* biases,
                      const double* f, std::size_t dim, double* scores, std::size_t classes) {
@@ -875,72 +637,6 @@ void EvaluateAllNeon(const double* soa, std::size_t stride, const double* biases
       acc += f[i] * soa[i * stride + c];
     }
     scores[c] = acc + biases[c];
-  }
-}
-
-void EvaluateAll2Neon(const double* soa, std::size_t stride, const double* biases,
-                      const double* f0, const double* f1, std::size_t dim, double* s0,
-                      double* s1, std::size_t classes) {
-  std::size_t c = 0;
-  for (; c + 8 <= classes; c += 8) {
-    float64x2_t p0a0 = vdupq_n_f64(0.0);
-    float64x2_t p0a1 = vdupq_n_f64(0.0);
-    float64x2_t p0a2 = vdupq_n_f64(0.0);
-    float64x2_t p0a3 = vdupq_n_f64(0.0);
-    float64x2_t p1a0 = vdupq_n_f64(0.0);
-    float64x2_t p1a1 = vdupq_n_f64(0.0);
-    float64x2_t p1a2 = vdupq_n_f64(0.0);
-    float64x2_t p1a3 = vdupq_n_f64(0.0);
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const float64x2_t ff0 = vdupq_n_f64(f0[i]);
-      const float64x2_t ff1 = vdupq_n_f64(f1[i]);
-      const double* row = col + i * stride;
-      const float64x2_t w0 = vld1q_f64(row);
-      const float64x2_t w1 = vld1q_f64(row + 2);
-      const float64x2_t w2 = vld1q_f64(row + 4);
-      const float64x2_t w3 = vld1q_f64(row + 6);
-      p0a0 = vaddq_f64(p0a0, vmulq_f64(ff0, w0));
-      p0a1 = vaddq_f64(p0a1, vmulq_f64(ff0, w1));
-      p0a2 = vaddq_f64(p0a2, vmulq_f64(ff0, w2));
-      p0a3 = vaddq_f64(p0a3, vmulq_f64(ff0, w3));
-      p1a0 = vaddq_f64(p1a0, vmulq_f64(ff1, w0));
-      p1a1 = vaddq_f64(p1a1, vmulq_f64(ff1, w1));
-      p1a2 = vaddq_f64(p1a2, vmulq_f64(ff1, w2));
-      p1a3 = vaddq_f64(p1a3, vmulq_f64(ff1, w3));
-    }
-    vst1q_f64(s0 + c, vaddq_f64(p0a0, vld1q_f64(biases + c)));
-    vst1q_f64(s0 + c + 2, vaddq_f64(p0a1, vld1q_f64(biases + c + 2)));
-    vst1q_f64(s0 + c + 4, vaddq_f64(p0a2, vld1q_f64(biases + c + 4)));
-    vst1q_f64(s0 + c + 6, vaddq_f64(p0a3, vld1q_f64(biases + c + 6)));
-    vst1q_f64(s1 + c, vaddq_f64(p1a0, vld1q_f64(biases + c)));
-    vst1q_f64(s1 + c + 2, vaddq_f64(p1a1, vld1q_f64(biases + c + 2)));
-    vst1q_f64(s1 + c + 4, vaddq_f64(p1a2, vld1q_f64(biases + c + 4)));
-    vst1q_f64(s1 + c + 6, vaddq_f64(p1a3, vld1q_f64(biases + c + 6)));
-  }
-  for (; c + 2 <= classes; c += 2) {
-    float64x2_t acc0 = vdupq_n_f64(0.0);
-    float64x2_t acc1 = vdupq_n_f64(0.0);
-    const double* col = soa + c;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const float64x2_t w = vld1q_f64(col + i * stride);
-      acc0 = vaddq_f64(acc0, vmulq_f64(vdupq_n_f64(f0[i]), w));
-      acc1 = vaddq_f64(acc1, vmulq_f64(vdupq_n_f64(f1[i]), w));
-    }
-    const float64x2_t b = vld1q_f64(biases + c);
-    vst1q_f64(s0 + c, vaddq_f64(acc0, b));
-    vst1q_f64(s1 + c, vaddq_f64(acc1, b));
-  }
-  for (; c < classes; ++c) {
-    double acc0 = 0.0;
-    double acc1 = 0.0;
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double w = soa[i * stride + c];
-      acc0 += f0[i] * w;
-      acc1 += f1[i] * w;
-    }
-    s0[c] = acc0 + biases[c];
-    s1[c] = acc1 + biases[c];
   }
 }
 
@@ -1103,9 +799,8 @@ bool EvaluateArgMaxInPrefixNeon(const double* soa, std::size_t stride, const dou
   return EvaluateArgMaxInPrefixScalar(soa, stride, biases, f, dim, split, classes);
 }
 
-constexpr KernelTable kSse2Table{
-    Tier::kSse2,     DotNeon,          AxpyNeon,   SquaredNormNeon,
-    EvaluateAllNeon, EvaluateAll2Neon, ArgMaxNeon, EvaluateArgMaxInPrefixNeon};
+constexpr KernelTable kSse2Table{Tier::kSse2, DotNeon, EvaluateAllNeon, ArgMaxNeon,
+                                 EvaluateArgMaxInPrefixNeon};
 
 #endif  // GRANDMA_SIMD_X86 / GRANDMA_SIMD_NEON
 
@@ -1230,13 +925,6 @@ double Dot(VecView a, VecView b) {
   return Active().dot(a.data(), b.data(), a.size());
 }
 
-void Axpy(double alpha, VecView x, MutVecView y) {
-  assert(x.size() == y.size());
-  Active().axpy(alpha, x.data(), y.data(), x.size());
-}
-
-double SquaredNorm(VecView v) { return Active().squared_norm(v.data(), v.size()); }
-
 double QuadraticForm(VecView x, const double* m, VecView y) {
   assert(x.size() == y.size());
   const KernelTable& table = Active();
@@ -1252,49 +940,6 @@ void EvaluateAll(const double* soa, std::size_t stride, const double* biases,
                  const double* f, std::size_t dim, double* scores, std::size_t classes) {
   assert(stride >= classes);
   Active().evaluate_all(soa, stride, biases, f, dim, scores, classes);
-}
-
-void EvaluateAll2(const double* soa, std::size_t stride, const double* biases,
-                  const double* f0, const double* f1, std::size_t dim, double* s0, double* s1,
-                  std::size_t classes) {
-  assert(stride >= classes);
-  Active().evaluate_all2(soa, stride, biases, f0, f1, dim, s0, s1, classes);
-}
-
-void EvaluateBatch(const double* soa, std::size_t stride, const double* biases,
-                   const double* features, std::size_t batch, std::size_t feature_stride,
-                   double* scores, std::size_t scores_stride, std::size_t dim,
-                   std::size_t classes) {
-  assert(stride >= classes);
-  assert(feature_stride >= dim);
-  assert(scores_stride >= classes);
-  // Hold the table once so every row of the batch runs the same tier even
-  // if a ForceTier races in (documented single-threaded-only, but cheap to
-  // be coherent about).
-  const KernelTable& table = Active();
-  // Class tiles sized so one tile's weight rows (kClassTile * dim doubles;
-  // 6.5 KiB at the 13-feature extractor) stay L1-resident across the whole
-  // batch: the full block is swept once per BATCH instead of once per row,
-  // which is where the per-point cost at 200+ classes goes. Tiling classes
-  // never touches a per-(row, class) accumulation chain, so results stay
-  // bit-identical to row-at-a-time EvaluateAll on every tier. The tile
-  // width is a multiple of every kernel's widest class block (16), so only
-  // the final tile runs tail lanes.
-  constexpr std::size_t kClassTile = 64;
-  for (std::size_t c0 = 0; c0 < classes; c0 += kClassTile) {
-    const std::size_t tile = classes - c0 < kClassTile ? classes - c0 : kClassTile;
-    std::size_t r = 0;
-    for (; r + 2 <= batch; r += 2) {
-      table.evaluate_all2(soa + c0, stride, biases + c0, features + r * feature_stride,
-                          features + (r + 1) * feature_stride, dim,
-                          scores + r * scores_stride + c0, scores + (r + 1) * scores_stride + c0,
-                          tile);
-    }
-    if (r < batch) {
-      table.evaluate_all(soa + c0, stride, biases + c0, features + r * feature_stride, dim,
-                         scores + r * scores_stride + c0, tile);
-    }
-  }
 }
 
 std::size_t ArgMax(const double* v, std::size_t n) {

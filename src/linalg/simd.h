@@ -22,10 +22,9 @@
 //     an independent accumulation chain in feature order (the SIMD tiers
 //     vectorize ACROSS classes, never within a chain) and no FMA contraction
 //     is permitted in this translation unit (-ffp-contract=off).
-//   - Axpy is element-wise and therefore also bit-identical across tiers.
-//   - Dot / SquaredNorm / QuadraticForm use per-lane partial sums, so their
-//     results differ from scalar by reassociation only: the error is bounded
-//     by n*eps*sum|terms| (enforced by tests/linalg_simd_test.cc).
+//   - Dot / QuadraticForm use per-lane partial sums, so their results
+//     differ from scalar by reassociation only: the error is bounded by
+//     n*eps*sum|terms| (enforced by tests/linalg_simd_test.cc).
 //
 // Building with -DGRANDMA_SIMD=OFF defines GRANDMA_SIMD_DISABLED: only the
 // scalar tier is compiled, BestSupportedTier() == kScalar, and ForceTier to
@@ -71,17 +70,11 @@ void ResetTier();
 // Inner product (per-lane partial sums; bounded-ULP vs scalar).
 double Dot(VecView a, VecView b);
 
-// y += alpha * x (element-wise; bit-identical across tiers).
-void Axpy(double alpha, VecView x, MutVecView y);
-
-// sum v[i]^2 (per-lane partial sums; bounded-ULP vs scalar).
-double SquaredNorm(VecView v);
-
 // x^T m y over a row-major n x n matrix block (n = x.size() == y.size());
 // per-row dots use the dispatched Dot.
 double QuadraticForm(VecView x, const double* m, VecView y);
 
-// The batched evaluator primitive. For every class c in [0, classes):
+// The evaluator primitive. For every class c in [0, classes):
 //   scores[c] = (sum_i f[i] * soa[i * stride + c]) + biases[c]
 // with the sum accumulated in feature order, which makes the result
 // bit-identical to the classic per-class "bias + Dot(weights_row, f)"
@@ -91,27 +84,6 @@ double QuadraticForm(VecView x, const double* m, VecView y);
 // (stride >= classes; padding lanes are never stored to).
 void EvaluateAll(const double* soa, std::size_t stride, const double* biases,
                  const double* f, std::size_t dim, double* scores, std::size_t classes);
-
-// Two feature vectors through ONE sweep of the weight block: s0/s1 get
-// exactly what two EvaluateAll calls would produce, bit for bit (each
-// point's per-class chain is the same operation sequence; pairing only
-// shares the weight loads between the two chains). This is the batch
-// evaluator's memory-bandwidth lever: at 200+ classes the SoA block
-// no longer fits L1, and pairing halves the per-point weight traffic.
-void EvaluateAll2(const double* soa, std::size_t stride, const double* biases,
-                  const double* f0, const double* f1, std::size_t dim, double* s0, double* s1,
-                  std::size_t classes);
-
-// A whole batch of feature rows through class-tiled sweeps of the weight
-// block: row r's scores land at scores + r * scores_stride and are bit-
-// identical to a row-at-a-time EvaluateAll (class tiling and row pairing
-// never reorder a per-(row, class) chain). One weight-block sweep serves
-// the entire batch — at 200+ classes the block outgrows L1 and this is the
-// difference between per-point and per-batch memory traffic.
-void EvaluateBatch(const double* soa, std::size_t stride, const double* biases,
-                   const double* features, std::size_t batch, std::size_t feature_stride,
-                   double* scores, std::size_t scores_stride, std::size_t dim,
-                   std::size_t classes);
 
 // Index of the maximum element under the running strict-> scan semantics
 // every argmax in the classifier uses: the FIRST occurrence of the maximum

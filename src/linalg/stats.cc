@@ -29,7 +29,8 @@ void ScatterAccumulator::Add(const Vector& sample) {
   mean_ += delta / static_cast<double>(count_);
   const Vector delta2 = sample - mean_;
   // scatter += delta * delta2^T  (symmetric by construction in exact math;
-  // we symmetrize to keep floating-point noise out of Cholesky).
+  // we symmetrize to keep floating-point noise out of the covariance
+  // inverse).
   for (std::size_t i = 0; i < mean_.size(); ++i) {
     for (std::size_t j = 0; j < mean_.size(); ++j) {
       scatter_(i, j) += 0.5 * (delta[i] * delta2[j] + delta[j] * delta2[i]);

@@ -1,5 +1,5 @@
 // Non-owning views over contiguous double storage, plus the small dense
-// kernels (dot / axpy / norm) the classify-time hot path runs on. This is the
+// kernels (dot / fill / copy / subtract) the classify-time hot path runs on. This is the
 // zero-allocation counterpart of linalg::Vector: training-time code keeps the
 // owning, resizable Vector; the per-point recognition kernel works entirely
 // on views into caller-owned, fixed-capacity scratch (see eager::Workspace).
@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 
 namespace grandma::linalg {
@@ -108,24 +107,6 @@ inline double Dot(VecView a, VecView b) {
   }
   return sum;
 }
-
-// y += alpha * x; sizes must match.
-inline void Axpy(double alpha, VecView x, MutVecView y) {
-  assert(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-inline double SquaredNorm(VecView v) {
-  double sum = 0.0;
-  for (double x : v) {
-    sum += x * x;
-  }
-  return sum;
-}
-
-inline double Norm(VecView v) { return std::sqrt(SquaredNorm(v)); }
 
 inline void Fill(MutVecView v, double value) {
   for (double& x : v) {

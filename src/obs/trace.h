@@ -1,6 +1,5 @@
-// Span-based execution tracing for the recognition pipeline (distinct from
-// io::EventTrace, which records *input* events for playback — this layer
-// records *where time goes* while those inputs are processed).
+// Span-based execution tracing for the recognition pipeline: this layer
+// records *where time goes* while input events are processed.
 //
 // Design constraints, in order:
 //   1. Zero heap allocations on the hot path. Every span lands in a

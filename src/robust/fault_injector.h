@@ -1,5 +1,5 @@
 // Deterministic fault injection: a decorator over the synthetic gesture
-// generator (src/synth) and the io::EventTrace replay path that damages
+// generator (src/synth) and the input-event replay path that damages
 // strokes the way misbehaving hardware does — dropped events, timestamp
 // jitter and reordering, coordinate spikes, non-finite samples, stuck
 // points, truncation. Seeded, so every test and bench can replay the exact
@@ -118,7 +118,7 @@ class FaultInjector {
   // stroke; `injected` (optional) reports which kinds fired on this stroke.
   geom::Gesture Corrupt(const geom::Gesture& g, InjectedFaults* injected = nullptr);
 
-  // Damages the point-carrying events of an input trace (the io::EventTrace
+  // Damages the point-carrying events of an input trace (the playback
   // decoration point). The mouse-down/up bracketing is rebuilt around the
   // surviving points so replay still forms a gesture; timer events are
   // discarded (replay regenerates ticks from the gaps).

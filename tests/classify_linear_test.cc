@@ -136,7 +136,7 @@ TEST(RecognitionProbabilityTest, DominantWinnerNearOne) {
   EXPECT_NEAR(RecognitionProbability(scores, 0), 1.0, 1e-12);
 }
 
-// The zero-allocation kernel surface (EvaluateInto / BestClassView /
+// The zero-allocation kernel surface (EvaluateAllInto / BestClassView /
 // ClassifyView / MahalanobisSquaredView) must be bit-identical to the
 // allocating flavors it backs — exact == on doubles, no tolerance.
 TEST(LinearClassifierTest, KernelSurfaceMatchesAllocatingSurfaceBitForBit) {
@@ -150,7 +150,7 @@ TEST(LinearClassifierTest, KernelSurfaceMatchesAllocatingSurfaceBitForBit) {
   const linalg::MutVecView diff = linalg::ViewOf(diff_buf);
   for (const linalg::Vector& f : probes) {
     const std::vector<double> legacy_scores = c.Evaluate(f);
-    c.EvaluateInto(f.view(), scores);
+    c.EvaluateAllInto(f.view(), scores);
     ASSERT_EQ(legacy_scores.size(), scores.size());
     for (std::size_t i = 0; i < scores.size(); ++i) {
       EXPECT_EQ(legacy_scores[i], scores[i]) << "class " << i;
@@ -176,8 +176,8 @@ TEST(LinearClassifierTest, KernelSurfaceValidatesScratchSizes) {
   const linalg::Vector f{0.0, 0.0};
   std::array<double, 4> buf{};
   // scores must be exactly num_classes(), diff exactly dimension().
-  EXPECT_THROW(c.EvaluateInto(f.view(), linalg::ViewOf(buf, 1)), std::invalid_argument);
-  EXPECT_THROW(c.EvaluateInto(f.view(), linalg::ViewOf(buf, 3)), std::invalid_argument);
+  EXPECT_THROW(c.EvaluateAllInto(f.view(), linalg::ViewOf(buf, 1)), std::invalid_argument);
+  EXPECT_THROW(c.EvaluateAllInto(f.view(), linalg::ViewOf(buf, 3)), std::invalid_argument);
   EXPECT_THROW(
       c.ClassifyView(f.view(), linalg::ViewOf(buf, 2), linalg::ViewOf(buf, 1)),
       std::invalid_argument);
@@ -185,7 +185,7 @@ TEST(LinearClassifierTest, KernelSurfaceValidatesScratchSizes) {
                std::invalid_argument);
   // Wrong feature width.
   const linalg::Vector bad{1.0};
-  EXPECT_THROW(c.EvaluateInto(bad.view(), linalg::ViewOf(buf, 2)), std::invalid_argument);
+  EXPECT_THROW(c.EvaluateAllInto(bad.view(), linalg::ViewOf(buf, 2)), std::invalid_argument);
 }
 
 TEST(LinearClassifierTest, RecognitionProbabilityViewMatchesVectorFlavor) {

@@ -140,10 +140,10 @@ TEST(AucTest, UntrainedThrows) {
 }
 
 // Train lays complete sets out as the id prefix, which lets D(s) use the
-// fused winner-in-prefix kernel. FromParameters accepts ANY set order, so an
-// interleaved layout must fall back to the evaluate + argmax path — and the
-// two layouts must agree on every D(s) answer when they describe the same
-// classifier up to class permutation.
+// fused winner-in-prefix kernel. FromParameters reorders ANY set order into
+// that layout, permuting the classifier rows with the sets — so two layouts
+// that describe the same classifier up to class permutation must agree on
+// every D(s) answer and every winning set.
 TEST(AucTest, FromParametersNonPrefixLayoutAgreesWithPrefixLayout) {
   // Four axis-aligned discriminators in 2-D: class k wins in "its" quadrant
   // direction. Interleaved AUC: ids {C, I, C, I}; prefix AUC: the same four
@@ -179,6 +179,25 @@ TEST(AucTest, FromParametersNonPrefixLayoutAgreesWithPrefixLayout) {
   // and both first sets are complete.
   EXPECT_TRUE(interleaved.Unambiguous(linalg::Vector{0.0, 0.0}));
   EXPECT_TRUE(prefix.Unambiguous(linalg::Vector{0.0, 0.0}));
+
+  // The interleaved sets were stable-partitioned complete-first.
+  for (classify::ClassId k = 0; k < interleaved.num_sets(); ++k) {
+    EXPECT_EQ(interleaved.ClassInfo(k).complete, k < 2) << "set " << k;
+  }
+  for (const linalg::Vector& f : probes) {
+    const Auc::SetInfo& a = interleaved.ClassInfo(interleaved.Classify(f).class_id);
+    const Auc::SetInfo& b = prefix.ClassInfo(prefix.Classify(f).class_id);
+    EXPECT_EQ(a.complete, b.complete) << "f=(" << f[0] << "," << f[1] << ")";
+    EXPECT_EQ(a.full_class, b.full_class) << "f=(" << f[0] << "," << f[1] << ")";
+  }
+
+  // A classifier whose class count disagrees with the set list is rejected.
+  EXPECT_THROW(Auc::FromParameters(Auc::Mode::kNormal,
+                                   classify::LinearClassifier::FromParameters(
+                                       {right, up, left}, {0.0, 0.0, 0.0},
+                                       std::vector<linalg::Vector>(3, linalg::Vector(2)), eye),
+                                   {Auc::SetInfo{true, 0}, Auc::SetInfo{false, 1}}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "features/feature_vector.h"
 #include "linalg/vec_view.h"
-#include "geom/resample.h"
 #include "geom/transform.h"
 
 namespace grandma::features {
@@ -29,14 +28,17 @@ Gesture RightStroke() {
   return g;
 }
 
-// Right 30 then up 40 (sharp 90-degree left turn), 10 px steps.
-Gesture LStroke() {
+// Right 30 then up 40 (sharp 90-degree left turn), `step` px apart at one
+// px per ms; `step` must divide 10.
+Gesture LStroke(double step = 10.0) {
   Gesture g;
-  for (int i = 0; i <= 3; ++i) {
-    g.AppendPoint({10.0 * i, 0.0, 10.0 * i});
+  const int right = static_cast<int>(30.0 / step);
+  const int up = static_cast<int>(40.0 / step);
+  for (int i = 0; i <= right; ++i) {
+    g.AppendPoint({step * i, 0.0, step * i});
   }
-  for (int i = 1; i <= 4; ++i) {
-    g.AppendPoint({30.0, 10.0 * i, 30.0 + 10.0 * i});
+  for (int i = 1; i <= up; ++i) {
+    g.AppendPoint({30.0, step * i, 30.0 + step * i});
   }
   return g;
 }
@@ -309,7 +311,7 @@ TEST(FeatureExtractorTest, SamplingRobustness) {
   // The same path sampled at different densities yields similar features
   // (exactly the property that lets the classifier ignore sampling rate).
   const Gesture coarse = LStroke();
-  const Gesture fine = geom::ResampleByCount(coarse, 50);
+  const Gesture fine = LStroke(1.0);
   const Vector a = ExtractFeatures(coarse);
   const Vector b = ExtractFeatures(fine);
   EXPECT_NEAR(a[kPathLength], b[kPathLength], 0.5);

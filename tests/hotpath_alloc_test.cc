@@ -282,7 +282,7 @@ TEST(HotpathAllocTest, TracedServeSessionSteadyStateIsAllocationFree) {
   EXPECT_FALSE(obs::CollectAll().empty());
 }
 
-// The batched ingest path (EagerStream::AddSpan + the SoA EvaluateBatchInto
+// The chunked ingest path (EagerStream::AddSpan + the fused fire check
 // under it) must uphold the same contract: zero allocations per point in
 // steady state, including the fire-event classification.
 TEST(HotpathAllocTest, AddSpanSteadyStateIsAllocationFree) {
@@ -291,7 +291,7 @@ TEST(HotpathAllocTest, AddSpanSteadyStateIsAllocationFree) {
   eager::EagerStream stream(r);
   eager::FireEvent fire;
 
-  // Warm-up: sizes the workspace score buffers (incl. the batch block).
+  // Warm-up: sizes the workspace score buffer.
   stream.AddSpan(std::span<const geom::TimedPoint>(pool[0].points()), &fire);
   (void)stream.ClassifyNow();
   stream.Reset();
@@ -311,19 +311,18 @@ TEST(HotpathAllocTest, AddSpanSteadyStateIsAllocationFree) {
   EXPECT_GE(points, 1000u);
 }
 
-// The classifier's batched evaluator on its own: after training, scoring all
-// classes (single vector and multi-row) touches the heap zero times.
+// The classifier's evaluator on its own: after training, scoring all
+// classes touches the heap zero times.
 TEST(HotpathAllocTest, EvaluateAllIntoIsAllocationFreePerPoint) {
   const auto& lin = GdpRecognizer().full().linear();
   const std::size_t dim = lin.dimension();
   const std::size_t classes = lin.num_classes();
-  std::vector<double> features(4 * dim, 0.25);
-  std::vector<double> scores(4 * classes);
+  std::vector<double> features(dim, 0.25);
+  std::vector<double> scores(classes);
   const std::uint64_t allocs = CountAllocations([&] {
     for (int rep = 0; rep < 1000; ++rep) {
       lin.EvaluateAllInto(linalg::VecView(features.data(), dim),
                           linalg::MutVecView(scores.data(), classes));
-      lin.EvaluateBatchInto(features.data(), 4, dim, scores.data(), classes);
     }
   });
   EXPECT_EQ(allocs, 0u);
@@ -425,8 +424,8 @@ TEST(HotpathAllocTest, KernelPathIsBitIdenticalToLegacyPath) {
     EXPECT_EQ(kernel.probability, legacy.probability);
     EXPECT_EQ(kernel.mahalanobis_squared, legacy.mahalanobis_squared);
 
-    // The view snapshot matches the copy-returning shim bit for bit.
-    const linalg::Vector copied = stream.Features();
+    // The view snapshot matches the copy-returning extractor bit for bit.
+    const linalg::Vector copied = fx.Features();
     const linalg::VecView viewed = stream.FeaturesView();
     ASSERT_EQ(copied.size(), viewed.size());
     for (std::size_t i = 0; i < copied.size(); ++i) {

@@ -134,6 +134,27 @@ TEST(SnapshotTest, FlippedCrcFieldIsCorrupt) {
   EXPECT_EQ(loaded.status().code(), robust::StatusCode::kCorruptSnapshot);
 }
 
+// A CRC-valid container whose payload does not parse reports kCorruptSnapshot
+// with the serializer's own reason appended, not just "failed to parse".
+TEST(SnapshotTest, UnparseablePayloadKeepsTheParseReason) {
+  classify::GestureClassifier classifier;
+  classifier.Train(MakeTrainingSet());
+  std::ostringstream text;
+  ASSERT_TRUE(SaveClassifier(classifier, text));
+  const std::string payload = text.str().substr(0, text.str().size() / 2);
+  std::istringstream direct(payload);
+  const robust::Status reason = LoadClassifierOr(direct).status();
+  ASSERT_FALSE(reason.ok());
+
+  std::stringstream buf;
+  ASSERT_TRUE(WriteSnapshotContainer(buf, "classifier", payload));
+  auto loaded = LoadClassifierSnapshot(buf);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), robust::StatusCode::kCorruptSnapshot);
+  EXPECT_NE(loaded.status().message().find(reason.message()), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(SnapshotTest, EveryPrefixYieldsTypedStatusNeverCrashes) {
   const eager::EagerRecognizer recognizer = MakeRecognizer();
   std::stringstream buf;

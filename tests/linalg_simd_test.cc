@@ -1,8 +1,8 @@
 // Kernel-equivalence property tests for the dispatch ladder in
 // linalg/simd.h: every tier the build/CPU supports is forced in turn and
 // compared against the scalar reference — bit-exact where the contract says
-// bit-exact (EvaluateAll, Axpy), bounded-ULP where per-lane partial sums
-// reassociate (Dot, SquaredNorm, QuadraticForm) — over odd lengths,
+// bit-exact (EvaluateAll, ArgMax, EvaluateArgMaxInPrefix), bounded-ULP where
+// per-lane partial sums reassociate (Dot, QuadraticForm) — over odd lengths,
 // unaligned tails, and NaN/Inf inputs.
 //
 // This TU is compiled with -ffp-contract=off (tests/CMakeLists.txt) so the
@@ -17,10 +17,7 @@
 #include <limits>
 #include <vector>
 
-#include "classify/linear_classifier.h"
-#include "classify/training_set.h"
 #include "linalg/vec_view.h"
-#include "linalg/vector.h"
 
 namespace grandma::linalg::simd {
 namespace {
@@ -142,48 +139,6 @@ TEST(SimdKernelTest, DotMatchesScalarBoundedUlp) {
   }
 }
 
-TEST(SimdKernelTest, SquaredNormMatchesScalarBoundedUlp) {
-  TierGuard guard;
-  for (std::size_t n = 1; n <= 33; ++n) {
-    Rng rng(2000 + n);
-    const std::vector<double> v = rng.Fill(n);
-    const VecView vv(v.data(), n);
-    ASSERT_TRUE(ForceTier(Tier::kScalar));
-    const double reference = simd::SquaredNorm(vv);
-    for (Tier t : VectorTiers()) {
-      ASSERT_TRUE(ForceTier(t));
-      EXPECT_NEAR(simd::SquaredNorm(vv), reference, SumBound(n, reference))
-          << TierName(t) << " n=" << n;
-    }
-  }
-}
-
-// Axpy is element-wise: bit-identical across every tier, including the
-// scalar tail after the vector body and on unaligned slices.
-TEST(SimdKernelTest, AxpyIsBitIdenticalAcrossTiers) {
-  TierGuard guard;
-  for (std::size_t n = 1; n <= 33; ++n) {
-    Rng rng(3000 + n);
-    const std::vector<double> x = rng.Fill(n + 1);
-    const std::vector<double> y0 = rng.Fill(n + 1);
-    const double alpha = rng.Next();
-    for (std::size_t offset : {std::size_t{0}, std::size_t{1}}) {
-      ASSERT_TRUE(ForceTier(Tier::kScalar));
-      std::vector<double> expected = y0;
-      simd::Axpy(alpha, VecView(x.data() + offset, n), MutVecView(expected.data() + offset, n));
-      for (Tier t : VectorTiers()) {
-        ASSERT_TRUE(ForceTier(t));
-        std::vector<double> got = y0;
-        simd::Axpy(alpha, VecView(x.data() + offset, n), MutVecView(got.data() + offset, n));
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], expected[i])
-              << TierName(t) << " n=" << n << " offset=" << offset << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, QuadraticFormMatchesScalarBoundedUlp) {
   TierGuard guard;
   for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{13},
@@ -287,46 +242,6 @@ TEST(SimdKernelTest, EvaluateAllIsBitIdenticalAcrossTiersAndToRowForm) {
       for (std::size_t c = 0; c < classes; ++c) {
         EXPECT_EQ(scores[c], row_form[c]) << TierName(t) << " classes=" << classes
                                           << " c=" << c;
-      }
-    }
-  }
-}
-
-// The paired evaluator must be bit-identical to two single-point calls on
-// every tier — it shares weight loads between the points, never reorders a
-// chain. Class counts cover every block-width tail (16/8/4/2/1 lanes).
-TEST(SimdKernelTest, EvaluateAll2MatchesTwoSingleCallsBitwise) {
-  TierGuard guard;
-  const std::size_t dim = 13;
-  for (std::size_t classes : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
-                              std::size_t{8}, std::size_t{11}, std::size_t{15}, std::size_t{16},
-                              std::size_t{17}, std::size_t{26}, std::size_t{33}}) {
-    Rng rng(7000 + classes);
-    const std::size_t stride = (classes + 7) / 8 * 8;
-    AlignedBuffer soa(dim * stride);
-    for (std::size_t i = 0; i < dim; ++i) {
-      for (std::size_t c = 0; c < classes; ++c) {
-        soa[i * stride + c] = rng.Next();
-      }
-    }
-    const std::vector<double> biases = rng.Fill(classes);
-    const std::vector<double> f0 = rng.Fill(dim);
-    const std::vector<double> f1 = rng.Fill(dim);
-    for (Tier t : SupportedTiers()) {
-      ASSERT_TRUE(ForceTier(t));
-      std::vector<double> single0(classes, kNaN);
-      std::vector<double> single1(classes, kNaN);
-      simd::EvaluateAll(soa.data(), stride, biases.data(), f0.data(), dim, single0.data(),
-                        classes);
-      simd::EvaluateAll(soa.data(), stride, biases.data(), f1.data(), dim, single1.data(),
-                        classes);
-      std::vector<double> paired0(classes, kNaN);
-      std::vector<double> paired1(classes, kNaN);
-      simd::EvaluateAll2(soa.data(), stride, biases.data(), f0.data(), f1.data(), dim,
-                         paired0.data(), paired1.data(), classes);
-      for (std::size_t c = 0; c < classes; ++c) {
-        EXPECT_EQ(paired0[c], single0[c]) << TierName(t) << " classes=" << classes << " c=" << c;
-        EXPECT_EQ(paired1[c], single1[c]) << TierName(t) << " classes=" << classes << " c=" << c;
       }
     }
   }
@@ -541,49 +456,6 @@ TEST(SimdAlignedBufferTest, ValueSemantics) {
   moved.assign(2, 7.0);
   EXPECT_EQ(moved.data(), before);
   EXPECT_EQ(moved[0], 7.0);
-}
-
-// End-to-end through LinearClassifier: the SoA EvaluateAllInto and the
-// batched EvaluateBatchInto agree bit-exactly with each other and across
-// tiers on a really trained model.
-TEST(SimdClassifierTest, BatchedEvaluationIsBitIdenticalAcrossTiers) {
-  TierGuard guard;
-  classify::FeatureTrainingSet data;
-  Rng rng(7000);
-  const std::size_t dim = 13;
-  for (classify::ClassId c = 0; c < 11; ++c) {
-    for (int e = 0; e < 6; ++e) {
-      Vector f(dim);
-      for (std::size_t i = 0; i < dim; ++i) {
-        f[i] = static_cast<double>(c) + rng.Next();
-      }
-      data.Add(c, f);
-    }
-  }
-  classify::LinearClassifier clf;
-  clf.Train(data);
-  ASSERT_EQ(clf.num_classes(), 11u);
-  EXPECT_EQ(clf.class_stride(), 16u);
-
-  constexpr std::size_t kBatch = 5;
-  const std::vector<double> features = rng.Fill(kBatch * dim);
-
-  std::vector<double> reference(kBatch * clf.num_classes());
-  ASSERT_TRUE(ForceTier(Tier::kScalar));
-  for (std::size_t r = 0; r < kBatch; ++r) {
-    clf.EvaluateAllInto(VecView(features.data() + r * dim, dim),
-                        MutVecView(reference.data() + r * clf.num_classes(),
-                                   clf.num_classes()));
-  }
-
-  for (Tier t : SupportedTiers()) {
-    ASSERT_TRUE(ForceTier(t));
-    std::vector<double> batched(kBatch * clf.num_classes(), kNaN);
-    clf.EvaluateBatchInto(features.data(), kBatch, dim, batched.data(), clf.num_classes());
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      EXPECT_EQ(batched[i], reference[i]) << TierName(t) << " i=" << i;
-    }
-  }
 }
 
 }  // namespace

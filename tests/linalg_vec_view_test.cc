@@ -77,21 +77,6 @@ TEST(VecViewKernelTest, DotMatchesVectorDotBitForBit) {
   EXPECT_EQ(Dot(a.view(), b.view()), Dot(a, b));  // exact, not almost
 }
 
-TEST(VecViewKernelTest, Axpy) {
-  std::array<double, 3> y{1.0, 2.0, 3.0};
-  const std::array<double, 3> x{10.0, 20.0, 30.0};
-  Axpy(0.5, ViewOf(x), ViewOf(y));
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[1], 12.0);
-  EXPECT_DOUBLE_EQ(y[2], 18.0);
-}
-
-TEST(VecViewKernelTest, NormsMatchVectorBitForBit) {
-  const Vector v{3.0, -4.0, 0.5, 1e-3};
-  EXPECT_EQ(SquaredNorm(v.view()), v.squared_norm());
-  EXPECT_EQ(Norm(v.view()), v.norm());
-}
-
 TEST(VecViewKernelTest, FillCopySubtract) {
   std::array<double, 3> dst{};
   Fill(ViewOf(dst), 7.0);
